@@ -515,7 +515,14 @@ func (d *Dispatcher) post(ctx context.Context, w *workerState, body []byte, want
 		if err != nil {
 			return nil, fmt.Errorf("cluster: worker %s: %w", w.url, err)
 		}
-		defer resp.Body.Close()
+		defer func() {
+			// Read to EOF before closing: json.Decoder stops at the end of
+			// the value and leaves the encoder's trailing newline (and the
+			// chunked terminator) unread, and the transport only reuses a
+			// keep-alive connection whose body was drained.
+			io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
+			resp.Body.Close()
+		}()
 		if resp.StatusCode != http.StatusOK {
 			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
 			return nil, fmt.Errorf("cluster: worker %s: HTTP %d: %s", w.url, resp.StatusCode, bytes.TrimSpace(msg))

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -162,6 +163,58 @@ func TestDispatchMatchesLocal(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%d workers: merged records differ from local sweep", workers)
 		}
+	}
+}
+
+// TestShardRequestsReuseConnection: the dispatcher reads every shard
+// response to EOF, past the JSON encoder's trailing newline and the chunked
+// terminator, so sequential shard requests to one worker share a single
+// keep-alive connection. The worker flushes its (chunked) response and
+// holds the handler briefly, so the terminator arrives only after the
+// client has decoded the records; a client that closes the body at that
+// point drops the connection and dials anew for the next shard.
+func TestShardRequestsReuseConnection(t *testing.T) {
+	g, err := sweep.ParseGrid("model=4B,10B;method=baseline,vocab-1,vocab-2;vocab=32k,64k,128k,256k;micro=8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := localRecords(g)
+	var conns atomic.Int64
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		var req ShardRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(rw, err.Error(), http.StatusBadRequest)
+			return
+		}
+		sub, err := req.ToGrid()
+		if err != nil {
+			http.Error(rw, err.Error(), http.StatusBadRequest)
+			return
+		}
+		report.WriteJSON(rw, localRecords(sub))
+		rw.(http.Flusher).Flush()
+		time.Sleep(20 * time.Millisecond)
+	}))
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+
+	d := New(Options{Workers: []string{ts.URL}, ShardsPerWorker: 1, HedgeAfter: -1})
+	for i := 0; i < 5; i++ {
+		got, err := d.Records(context.Background(), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("request %d: records differ from local sweep", i)
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Errorf("5 sequential shard requests opened %d connections, want 1", n)
 	}
 }
 

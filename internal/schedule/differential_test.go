@@ -130,22 +130,21 @@ func cloneSpec(s *Spec) *Spec {
 }
 
 // mutateSpec returns an adjacent cell: a copy of spec with one axis changed.
-// Trailing-axis mutations (microbatch count, a perturbed duration) leave a
-// shared committed prefix for the warm engine to replay; structural
-// mutations (readiness offsets, schedule-family switches, a fresh shape)
-// must force its scratch fallback. The random axis choice per step is the
-// shuffle: sequences visit axes in every order, like a sweep grid whose
-// trailing axis rotates.
+// A microbatch-count change leaves a shared committed prefix for the warm
+// engine to replay; every other mutation (a perturbed duration, readiness
+// offsets, schedule-family switches, a fresh shape) must force its scratch
+// fallback. The random axis choice per step is the shuffle: sequences visit
+// axes in every order, like a sweep grid whose trailing axis rotates.
 func mutateSpec(rng *rand.Rand, s *Spec) *Spec {
 	c := cloneSpec(s)
 	switch rng.Intn(8) {
-	case 0, 1: // trailing axis: microbatch count
+	case 0, 1: // replayable: microbatch count
 		c.M = 1 + rng.Intn(24)
-	case 2: // trailing axis: one stage's durations
+	case 2: // scratch: one stage's durations
 		i := rng.Intn(len(c.Stages))
 		c.Stages[i].F += 0.25 * float64(1+rng.Intn(4))
 		c.Stages[i].B += 0.25 * float64(rng.Intn(4))
-	case 3: // trailing axis: vocab/interlaced pass durations
+	case 3: // scratch: vocab/interlaced pass durations
 		switch {
 		case c.Vocab != nil:
 			c.Vocab.SDur = 0.25 * float64(rng.Intn(8))
@@ -155,9 +154,9 @@ func mutateSpec(rng *rand.Rand, s *Spec) *Spec {
 		default:
 			c.M = 1 + rng.Intn(24)
 		}
-	case 4: // structural: P2P readiness offset
+	case 4: // scratch: P2P readiness offset
 		c.SendTime = 0.25 * float64(rng.Intn(4))
-	case 5: // structural: switch schedule family on the same shape
+	case 5: // scratch: switch schedule family on the same shape
 		c.Vocab, c.Interlaced, c.CapScale = nil, nil, 0
 		if rng.Intn(2) == 0 {
 			barriers := 1 + rng.Intn(2)
@@ -168,7 +167,7 @@ func mutateSpec(rng *rand.Rand, s *Spec) *Spec {
 			c.CapScale = 1.5
 			c.ExtraInFlight = 0
 		}
-	default: // structural: a fresh shape entirely
+	default: // scratch: a fresh shape entirely
 		return randomSpec(rng)
 	}
 	return c
@@ -253,9 +252,9 @@ func TestDifferentialCanonicalShapes(t *testing.T) {
 
 // TestDifferentialAdjacentSequences is the deterministic heart of the
 // three-way oracle: one warm engine walks randomized sequences of adjacent
-// cells (trailing-axis mutations, axis shuffles, structural divergences
-// that force the scratch fallback) and every step must match both the scan
-// reference and a throwaway scratch build bit for bit.
+// cells (microbatch-count changes that replay a prefix, axis shuffles, and
+// divergences that force the scratch fallback) and every step must match
+// both the scan reference and a throwaway scratch build bit for bit.
 func TestDifferentialAdjacentSequences(t *testing.T) {
 	seqs, steps := 24, 14
 	if testing.Short() {
@@ -272,22 +271,111 @@ func TestDifferentialAdjacentSequences(t *testing.T) {
 	}
 }
 
-// TestDifferentialForcedDispatch pins the two dispatch structures against
-// each other on identical adjacent-cell sequences: once with the linear
-// slot scan forced for every device count and once with the min-heap
-// forced, both against the scan oracle. The production cap picks by P; this
-// proves the choice is invisible in the output.
-func TestDifferentialForcedDispatch(t *testing.T) {
-	old := linearScanCap
-	defer func() { linearScanCap = old }()
-	for _, scanCap := range []int{0, 1 << 20} {
-		linearScanCap = scanCap
-		rng := rand.New(rand.NewSource(31))
+// TestDifferentialLargeP pins the linear dispatch fold against the scan
+// oracle beyond the device counts the random specs reach (P ≤ 8): every
+// shape at P ∈ {65, 96, 128}, with small M to keep the O(P)-per-commit
+// oracle cheap. Each shape is built at two microbatch counts on one warm
+// engine, so the second build also replays a prefix at large P.
+func TestDifferentialLargeP(t *testing.T) {
+	shapes := []struct {
+		name string
+		spec func(p, m int) *Spec
+	}{
+		{"1f1b", oneF1BSpec},
+		{"vocab-1", func(p, m int) *Spec { return vocabSpec(p, m, 2) }},
+		{"vocab-2", func(p, m int) *Spec { return vocabSpec(p, m, 1) }},
+		{"vhalf", vhalfSpec},
+	}
+	for _, p := range []int{65, 96, 128} {
+		for _, sh := range shapes {
+			t.Run(fmt.Sprintf("%s/P=%d", sh.name, p), func(t *testing.T) {
+				eng := NewEngine()
+				assertThreeWay(t, eng, sh.spec(p, 8))
+				assertThreeWay(t, eng, sh.spec(p, 12))
+			})
+		}
+	}
+}
+
+// replayedCommits builds prev on a fresh engine and returns how many of its
+// commits the engine would replay for next, with the commit count of prev.
+func replayedCommits(t *testing.T, prev, next *Spec) (k, total int) {
+	t.Helper()
+	eng := NewEngine()
+	tl, err := eng.Build(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng.e.prefixLen(next), len(tl.Passes)
+}
+
+// TestPrefixReuseRule pins the one reuse rule: an identical spec replays
+// every commit, an M-only change replays the commits before the first one
+// of microbatch min(M, M′) − 1 (and the warm build stays bit-identical),
+// and any other change replays nothing.
+func TestPrefixReuseRule(t *testing.T) {
+	base := vocabSpec(4, 8, 2)
+	if k, total := replayedCommits(t, base, cloneSpec(base)); k != total {
+		t.Errorf("identical spec: replayed %d of %d commits, want all", k, total)
+	}
+
+	for _, m := range []int{5, 12} {
+		next := cloneSpec(base)
+		next.M = m
 		eng := NewEngine()
-		cur := randomSpec(rng)
-		for i := 0; i < 40; i++ {
-			assertThreeWay(t, eng, cur)
-			cur = mutateSpec(rng, cur)
+		prevTL, err := eng.Build(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := len(prevTL.Passes)
+		for j, tp := range prevTL.Passes {
+			if tp.Micro >= min(base.M, m)-1 {
+				want = j
+				break
+			}
+		}
+		if k := eng.e.prefixLen(next); k != want || k == 0 {
+			t.Errorf("M %d→%d: replayed %d commits, want %d (non-zero)", base.M, m, k, want)
+		}
+		assertThreeWay(t, eng, next)
+	}
+
+	// A field-level change anywhere else builds from scratch, however late
+	// in the schedule the change would first be felt.
+	changes := map[string]func(s *Spec){
+		"last stage B":   func(s *Spec) { s.Stages[len(s.Stages)-1].B += 0.25 },
+		"stage W":        func(s *Spec) { s.Stages[1].W = 0.5 },
+		"stage ActBytes": func(s *Spec) { s.Stages[0].ActBytes = 2 },
+		"SendTime":       func(s *Spec) { s.SendTime = 0.125 },
+		"Vocab.SDur":     func(s *Spec) { s.Vocab.SDur = 0.75 },
+		"Vocab.TDur":     func(s *Spec) { s.Vocab.TDur = 0.75 },
+		"Vocab.C1Time":   func(s *Spec) { s.Vocab.C1Time = 0.1 },
+		"Vocab.Barriers": func(s *Spec) { s.Vocab.Barriers, s.ExtraInFlight = 1, 1 },
+		"Vocab removed":  func(s *Spec) { s.Vocab, s.ExtraInFlight = nil, 0 },
+		"ExtraInFlight":  func(s *Spec) { s.ExtraInFlight = 3 },
+		"Interlaced added": func(s *Spec) {
+			s.Vocab, s.ExtraInFlight = nil, 0
+			s.Interlaced = &InterlacedSpec{VDur: 0.75, SyncTime: 0.25, ActBytes: 0.25}
+		},
+	}
+	for name, change := range changes {
+		next := cloneSpec(base)
+		change(next)
+		if k, _ := replayedCommits(t, base, next); k != 0 {
+			t.Errorf("%s: replayed %d commits, want 0", name, k)
+		}
+	}
+
+	inter := interlacedSpec(4, 8)
+	for name, change := range map[string]func(s *Spec){
+		"Interlaced.VDur":     func(s *Spec) { s.Interlaced.VDur = 1 },
+		"Interlaced.SyncTime": func(s *Spec) { s.Interlaced.SyncTime = 0 },
+		"CapScale":            func(s *Spec) { s.CapScale = 2 },
+	} {
+		next := cloneSpec(inter)
+		change(next)
+		if k, _ := replayedCommits(t, inter, next); k != 0 {
+			t.Errorf("%s: replayed %d commits, want 0", name, k)
 		}
 	}
 }
@@ -338,8 +426,9 @@ func TestEngineReuseChurn(t *testing.T) {
 
 // FuzzDifferentialEngines drives the three-way oracle from fuzzed
 // dimensions: the fuzzed bytes shape the first cell, then a seeded sequence
-// of adjacent mutations runs through one warm engine, comparing scan,
-// heap-scratch and heap-incremental at every step.
+// of adjacent mutations runs through one warm engine, comparing the scan
+// reference, a scratch build and the warm (prefix-replaying) build at every
+// step.
 func FuzzDifferentialEngines(f *testing.F) {
 	f.Add(uint8(4), uint8(8), uint8(0), 1.0, 2.0, int64(1))
 	f.Add(uint8(2), uint8(3), uint8(1), 0.5, 1.5, int64(7))

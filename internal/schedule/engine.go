@@ -3,7 +3,7 @@ package schedule
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Build constructs the timed schedule for spec. It returns an error if the
@@ -62,24 +62,23 @@ func MustBuild(spec *Spec) *Timeline {
 // bookkeeping, dispatch caches, and the committed timeline itself — is
 // carved from arenas the engine owns and recycles, so a warm engine builds
 // a schedule without allocating. Use NewEngine (or the zero value) and call
-// Build repeatedly; Reset is the explicit re-arm step Build performs first.
+// Build repeatedly.
 //
 // Reuse safety contract: the *Timeline returned by Build aliases the
-// engine's arena and is valid only until the next Build or Reset on the
-// same engine. A caller that retains a timeline past that point must call
+// engine's arena and is valid only until the next Build on the same engine.
+// A caller that retains a timeline past that point must call
 // Timeline.Detach for a compact self-owned copy (Timeline.Ephemeral reports
 // whether that is needed). The package-level Build/BuildScan helpers use a
 // throwaway engine, so their timelines are always safe to retain.
 //
-// Incremental prefix reuse: when consecutive Build calls receive specs that
-// differ only in trailing axes — a different microbatch count, a changed
-// stage duration — the engine replays the previous build's committed prefix
-// up to the first divergent commit instead of re-simulating it. Any
-// structural difference (device count, chunking, readiness offsets such as
-// SendTime or the vocabulary barrier costs) falls back to a scratch build.
-// Output is bit-identical to a scratch build in every case; the
-// differential tests and FuzzDifferentialEngines pin scan, heap-scratch and
-// heap-incremental against each other.
+// Prefix reuse: when a spec equals the previous build's spec in every field
+// but M (the Name label aside), the engine replays the previous build's
+// commits up to the first one whose microbatch index reaches
+// min(M, M′) − 1, then dispatches the rest live; an identical spec replays
+// every commit, and any other difference builds from scratch. Output is
+// bit-identical to a scratch build in every case; the differential tests
+// and FuzzDifferentialEngines pin the scan reference, scratch builds and
+// warm-engine builds against each other.
 //
 // An Engine is not safe for concurrent use; pool engines per worker
 // (sweep.Run does this internally).
@@ -90,50 +89,18 @@ type Engine struct {
 // NewEngine returns an empty engine ready for its first Build.
 func NewEngine() *Engine { return &Engine{} }
 
-// Reset validates spec and re-arms the engine's state for it, computing the
-// reusable committed prefix against the previous completed build. Build
-// calls Reset itself; the method is exported so callers can separate
-// validation from construction.
-func (en *Engine) Reset(spec *Spec) error {
-	if err := spec.Validate(); err != nil {
-		return err
-	}
-	en.e.prepare(spec)
-	return nil
-}
-
-// Build constructs spec's schedule, reusing the engine's arenas and any
-// committed prefix shared with the previous build. The returned timeline is
-// valid until the next Build or Reset (see the type comment).
+// Build validates spec and constructs its schedule, reusing the engine's
+// arenas and any committed prefix shared with the previous build. The
+// returned timeline is valid until the next Build (see the type comment).
 func (en *Engine) Build(spec *Spec) (*Timeline, error) {
-	if err := en.Reset(spec); err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	en.e.prepare(spec)
 	return en.e.run()
 }
 
 const unscheduled = -1.0
-
-// linearScanCap bounds the device count dispatched by the cached linear
-// scan; larger P uses the indexed min-heap, whose O(dirty·log P) updates
-// win once the per-commit O(P) fold dominates. A variable so differential
-// tests can force both paths.
-var linearScanCap = 64
-
-// prevBuild is the deep copy of the previous completed build's spec that
-// prefix reuse diffs the next spec against. It is a copy, not a pointer:
-// the caller may mutate or discard its spec after Build returns.
-type prevBuild struct {
-	p, m, chunks  int
-	sendTime      float64
-	capScale      float64
-	extraInFlight int
-	hasVocab      bool
-	vocab         VocabSpec
-	hasInter      bool
-	inter         InterlacedSpec
-	stages        []Stage
-}
 
 type engine struct {
 	spec    *Spec
@@ -170,8 +137,13 @@ type engine struct {
 	byDevBack  []TimedPass
 	timeline   Timeline
 
-	prev     prevBuild
-	havePrev bool
+	// prev is a deep copy of the previous completed build's spec (Stages,
+	// Vocab and Interlaced point at engine-owned storage): the caller may
+	// mutate or discard its spec after Build returns.
+	prev      Spec
+	prevVocab VocabSpec
+	prevInter InterlacedSpec
+	havePrev  bool
 
 	// Event-driven dispatch state (unused by the reference scan engine).
 	// Each device caches one slot per candidate kind — per chunk F, B, W,
@@ -182,11 +154,8 @@ type engine struct {
 	// applyState marks exactly those (device, kind) pairs in dirtyKind.
 	// slotChoice folds a device's slots in the reference enumeration order,
 	// and choiceSlot/choiceStart/choicePrio cache the fold result per
-	// device. Dispatch is a linear fold over the caches for small P, or the
-	// indexed min-heap plus near-tie refold for large P; both replay the
+	// device. Dispatch is a linear fold over the caches that replays the
 	// reference scan's tolerance fold exactly.
-	evented     bool
-	useHeap     bool
 	nSlots      int       // 3*Chunks + 3
 	slotReady   []float64 // [device*nSlots+slot]; +Inf = no candidate
 	slotDur     []float64 // [device*nSlots+slot], static per build
@@ -196,11 +165,8 @@ type engine struct {
 	choiceSlot  []int
 	choiceStart []float64
 	choicePrio  []int
-	hasChoice   []bool
-	heap        *deviceHeap
 	dirty       []bool
 	dirtyList   []int
-	nearBuf     []int
 	candBuf     [8]candidate
 }
 
@@ -208,13 +174,12 @@ type engine struct {
 // shared with the previous completed build, resets all state arenas, and
 // replays that prefix. spec must already be validated.
 func (e *engine) prepare(spec *Spec) {
-	e.evented = false
 	k := 0
 	if e.havePrev {
+		k = e.prefixLen(spec)
 		// The slab the last build filled becomes the replay source; the new
 		// build fills the other one.
 		e.passes, e.prevPasses = e.prevPasses, e.passes
-		k = e.prefixLen(spec)
 	}
 	e.havePrev = false
 	e.reset(spec)
@@ -224,89 +189,50 @@ func (e *engine) prepare(spec *Spec) {
 	e.snapshotSpec(spec)
 }
 
-// prefixLen returns how many leading commits of the previous build are
-// bit-identical to what a scratch build of s would produce. Zero on any
-// structural divergence. The rules follow from how the greedy fold consumes
-// the spec: a candidate's duration is invisible until it commits (except a
-// weight-gradient pass, whose duration gates admission as soon as its
-// stage's first backward lands), while readiness offsets (SendTime, the
-// vocabulary broadcast/barrier costs) shift candidate start times before
-// any commit and therefore always force scratch.
+// prefixLen returns how many leading commits of the previous build (still
+// in e.passes) are bit-identical to what a scratch build of s would
+// produce. Every field that shapes the greedy fold must be unchanged; only
+// M may differ, and then enumeration matches only until some per-kind
+// cursor could reach the smaller microbatch bound, so the prefix stops at
+// the first commit of microbatch min(M, M′) − 1.
 func (e *engine) prefixLen(s *Spec) int {
 	pv := &e.prev
-	if pv.p != s.P || pv.chunks != s.Chunks || pv.sendTime != s.SendTime ||
-		pv.capScale != s.CapScale || pv.extraInFlight != s.ExtraInFlight {
+	if pv.P != s.P || pv.Chunks != s.Chunks || pv.SendTime != s.SendTime ||
+		pv.ExtraInFlight != s.ExtraInFlight || pv.CapScale != s.CapScale ||
+		!slices.Equal(pv.Stages, s.Stages) || !equalPtr(pv.Vocab, s.Vocab) ||
+		!equalPtr(pv.Interlaced, s.Interlaced) {
 		return 0
 	}
-	if pv.hasVocab != (s.Vocab != nil) || pv.hasInter != (s.Interlaced != nil) {
-		return 0
+	if pv.M == s.M {
+		return len(e.passes)
 	}
-	if v := s.Vocab; v != nil {
-		// Any schedule-affecting vocabulary change forces scratch: BcastTime,
-		// C1Time and C2Time are readiness offsets, and SDur/TDur prefixes are
-		// never worth chasing (grids never vary them in isolation).
-		if pv.vocab.SDur != v.SDur || pv.vocab.TDur != v.TDur ||
-			pv.vocab.Barriers != v.Barriers || pv.vocab.BcastTime != v.BcastTime ||
-			pv.vocab.C1Time != v.C1Time || pv.vocab.C2Time != v.C2Time {
-			return 0
-		}
-	}
-	if iv := s.Interlaced; iv != nil {
-		if pv.inter.VDur != iv.VDur || pv.inter.SyncTime != iv.SyncTime {
-			return 0
-		}
-	}
-	// Per-commit taints: stop before the first commit whose own timing
-	// changed (F/B duration at its stage), whose stage's weight-gradient
-	// admission window changed (W duration becomes visible once the stage's
-	// first B lands), or that could advance a per-kind cursor to the
-	// smaller microbatch bound (enumeration diverges once any cursor
-	// reaches min(M, M')).
-	mDiff := pv.m != s.M
-	mBound := min(pv.m, s.M) - 1
-	for j := range e.prevPasses {
-		tp := &e.prevPasses[j]
-		if mDiff && tp.Micro >= mBound {
+	bound := min(pv.M, s.M) - 1
+	for j := range e.passes {
+		if e.passes[j].Micro >= bound {
 			return j
 		}
-		switch tp.Type {
-		case PassF:
-			st := s.StageOf(tp.Device, tp.Chunk)
-			if pv.stages[st].F != s.Stages[st].F {
-				return j
-			}
-		case PassB:
-			st := s.StageOf(tp.Device, tp.Chunk)
-			if pv.stages[st].B != s.Stages[st].B || pv.stages[st].W != s.Stages[st].W {
-				return j
-			}
-		case PassW:
-			st := s.StageOf(tp.Device, tp.Chunk)
-			if pv.stages[st].W != s.Stages[st].W {
-				return j
-			}
-		}
 	}
-	return len(e.prevPasses)
+	return len(e.passes)
 }
 
+// equalPtr reports whether a and b are both nil or point at equal values.
+func equalPtr[T comparable](a, b *T) bool {
+	return a == b || a != nil && b != nil && *a == *b
+}
+
+// snapshotSpec deep-copies s into e.prev, reusing the engine's storage.
 func (e *engine) snapshotSpec(s *Spec) {
-	e.prev.p, e.prev.m, e.prev.chunks = s.P, s.M, s.Chunks
-	e.prev.sendTime, e.prev.capScale = s.SendTime, s.CapScale
-	e.prev.extraInFlight = s.ExtraInFlight
-	e.prev.hasVocab = s.Vocab != nil
+	stages := append(e.prev.Stages[:0], s.Stages...)
+	e.prev = *s
+	e.prev.Stages = stages
 	if s.Vocab != nil {
-		e.prev.vocab = *s.Vocab
+		e.prevVocab = *s.Vocab
+		e.prev.Vocab = &e.prevVocab
 	}
-	e.prev.hasInter = s.Interlaced != nil
 	if s.Interlaced != nil {
-		e.prev.inter = *s.Interlaced
+		e.prevInter = *s.Interlaced
+		e.prev.Interlaced = &e.prevInter
 	}
-	if cap(e.prev.stages) < len(s.Stages) {
-		e.prev.stages = make([]Stage, len(s.Stages))
-	}
-	e.prev.stages = e.prev.stages[:len(s.Stages)]
-	copy(e.prev.stages, s.Stages)
 }
 
 // reset carves and re-initializes every state slab for spec.
@@ -546,17 +472,13 @@ func absDiff(a, b float64) float64 {
 
 // run is the event-driven dispatch loop over cached per-device choices. A
 // commit invalidates only the devices whose dependencies it satisfied
-// (marked dirty inside applyState), so the per-commit cost is
-// O(dirty + selection) instead of the reference engine's O(P) full
-// recompute. Selection is a linear fold over the caches (bit-identical to
-// the scan fold, since a cached choice equals a fresh recompute) for
-// P <= linearScanCap, or the min-heap near-tie refold beyond.
+// (marked dirty inside applyState), so each commit re-enumerates just those
+// devices instead of the reference engine's full O(P) recompute; selection
+// is then one linear fold over the cached choices, bit-identical to the
+// scan fold since a cached choice equals a fresh recompute.
 func (e *engine) run() (*Timeline, error) {
 	p := e.spec.P
 	e.armDispatch(p)
-	if e.useHeap {
-		return e.runHeap()
-	}
 	for e.remaining > 0 {
 		for _, d := range e.dirtyList {
 			e.dirty[d] = false
@@ -565,14 +487,12 @@ func (e *engine) run() (*Timeline, error) {
 				e.dirtyKind[d] = 0
 			}
 			slot, start, prio, ok := e.slotChoice(d)
-			e.hasChoice[d] = ok
 			if ok {
 				e.choiceSlot[d], e.choiceStart[d], e.choicePrio[d] = slot, start, prio
 			} else {
 				// +Inf sentinel: the fold below rejects it with a single
 				// compare (Inf is never < bestStart-tieTol, and Inf-Inf is
-				// NaN, which fails every tolerance check), so the hot fold
-				// needs no hasChoice load.
+				// NaN, which fails every tolerance check).
 				e.choiceStart[d] = math.Inf(1)
 			}
 		}
@@ -616,20 +536,6 @@ func (e *engine) run() (*Timeline, error) {
 	return e.finish(), nil
 }
 
-// runHeap is the large-P dispatch loop: heap-ordered exact minimum plus the
-// near-tie neighborhood refold (see pickDevice).
-func (e *engine) runHeap() (*Timeline, error) {
-	for e.remaining > 0 {
-		e.refreshDirty()
-		d, ok := e.pickDevice()
-		if !ok {
-			return nil, fmt.Errorf("schedule: no schedulable pass with %d remaining (dependency cycle?)", e.remaining)
-		}
-		e.commitSlot(d, e.choiceSlot[d], e.choiceStart[d])
-	}
-	return e.finish(), nil
-}
-
 // runScan is the original reference loop: recompute every device's choice
 // after each commit and fold them with the tolerance comparison.
 func (e *engine) runScan() (*Timeline, error) {
@@ -665,24 +571,19 @@ func (e *engine) runScan() (*Timeline, error) {
 // are recomputed from restored state, never replayed).
 func (e *engine) armDispatch(p int) {
 	spec := e.spec
-	e.evented = true
-	e.useHeap = p > linearScanCap
 	ns := 3*spec.Chunks + 3
 	e.nSlots = ns
 	if cap(e.choiceSlot) < p {
 		e.choiceSlot = make([]int, p)
 		e.choiceStart = make([]float64, p)
 		e.choicePrio = make([]int, p)
-		e.hasChoice = make([]bool, p)
 		e.dirty = make([]bool, p)
 		e.dirtyKind = make([]uint16, p)
 		e.dirtyList = make([]int, 0, p)
-		e.nearBuf = make([]int, 0, 8)
 	}
 	e.choiceSlot = e.choiceSlot[:p]
 	e.choiceStart = e.choiceStart[:p]
 	e.choicePrio = e.choicePrio[:p]
-	e.hasChoice = e.hasChoice[:p]
 	e.dirty = e.dirty[:p]
 	e.dirtyKind = e.dirtyKind[:p]
 	e.dirtyList = e.dirtyList[:0]
@@ -726,16 +627,8 @@ func (e *engine) armDispatch(p int) {
 		if iv := spec.Interlaced; iv != nil {
 			e.slotDur[base+nc+2] = iv.VDur + iv.SyncTime
 		}
-		e.hasChoice[d] = false
 		e.dirty[d] = false
 		e.dirtyKind[d] = 0
-	}
-	if e.useHeap {
-		if e.heap == nil || len(e.heap.pos) < p {
-			e.heap = newDeviceHeap(p)
-		} else {
-			e.heap.reset()
-		}
 	}
 	all := uint16(1)<<uint(ns) - 1
 	for d := 0; d < p; d++ {
@@ -765,30 +658,6 @@ func (e *engine) markKind(d int, bits uint16) {
 		e.dirty[d] = true
 		e.dirtyList = append(e.dirtyList, d)
 	}
-}
-
-// refreshDirty re-enumerates the marked slots and the cached choice of
-// every dirty device and fixes its heap entry (or removes it when the
-// device has nothing schedulable).
-func (e *engine) refreshDirty() {
-	for _, d := range e.dirtyList {
-		e.dirty[d] = false
-		if m := e.dirtyKind[d]; m != 0 {
-			e.refreshSlots(d, m)
-			e.dirtyKind[d] = 0
-		}
-		slot, start, prio, ok := e.slotChoice(d)
-		e.hasChoice[d] = ok
-		if !ok {
-			e.heap.remove(d)
-			continue
-		}
-		e.choiceSlot[d] = slot
-		e.choiceStart[d] = start
-		e.choicePrio[d] = prio
-		e.heap.update(d, start, prio)
-	}
-	e.dirtyList = e.dirtyList[:0]
 }
 
 // refreshSlots re-enumerates the masked candidate slots of device d from
@@ -1000,40 +869,6 @@ func (e *engine) commitSlot(d, slot int, start float64) {
 	e.applyState(&tp, true)
 }
 
-// pickDevice selects the next device to commit, reproducing the reference
-// scan fold exactly. The heap yields the exact minimum; any near-tied
-// devices are gathered and folded with the same tolerance comparison the
-// scan uses. The 5·tieTol window is sufficient: once the fold has processed
-// the exact-minimum device its running best start sits within tieTol of the
-// minimum, and each further tie-break switch requires a strictly lower
-// priority (later devices cannot win equal-priority ties), so at most four
-// more switches occur, each moving the best start by at most tieTol.
-// Devices beyond the window can never influence the outcome.
-func (e *engine) pickDevice() (int, bool) {
-	minD, ok := e.heap.min()
-	if !ok {
-		return 0, false
-	}
-	e.nearBuf = e.heap.within(e.choiceStart[minD]+5*tieTol, e.nearBuf[:0])
-	near := e.nearBuf
-	if len(near) == 1 {
-		return minD, true
-	}
-	sort.Ints(near)
-	bestD := -1
-	bestStart := 0.0
-	bestPrio := 0
-	for _, d := range near {
-		start, prio := e.choiceStart[d], e.choicePrio[d]
-		if betterCandidate(start, prio, d, bestD >= 0, bestStart, bestPrio, bestD) {
-			bestD = d
-			bestStart = start
-			bestPrio = prio
-		}
-	}
-	return bestD, true
-}
-
 // deviceChoice picks device d's preferred next pass: the earliest-starting
 // candidate under the shared tolerance fold, with static pass priorities on
 // ties. (An alternation variant — prefer draining right after a forward —
@@ -1215,7 +1050,8 @@ func (e *engine) lastStageBackwardReady(i int) (float64, bool) {
 	}
 }
 
-// commit is the scan engine's commit step; the evented paths use commitSlot.
+// commit is the scan engine's commit step; run uses commitSlot. The scan
+// recomputes every choice, so it needs no invalidation.
 func (e *engine) commit(c candidate, start float64) {
 	end := start + c.duration
 	d := c.pass.Device
@@ -1224,7 +1060,7 @@ func (e *engine) commit(c candidate, start float64) {
 	e.passes = append(e.passes, tp)
 	e.byDevice[d] = append(e.byDevice[d], tp)
 	e.remaining--
-	e.applyState(&tp, e.evented)
+	e.applyState(&tp, false)
 }
 
 // applyState folds one committed pass into the engine's readiness state.
